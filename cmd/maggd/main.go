@@ -2,6 +2,12 @@
 // trace: it plans an LFTA configuration for the queries, streams the
 // records through it, and prints per-epoch query answers.
 //
+// The trace is streamed, read once from front to back in columnar
+// batches: the planning sample is the first -sample records, buffered and
+// then replayed ahead of the rest. Memory therefore does not grow with
+// the trace's length. A stop signal takes effect at the next batch
+// boundary (at most 1024 records).
+//
 // Usage:
 //
 //	maggd -trace trace.magt -query "select A, B, count(*) as cnt from R group by A, B, time/10" \
@@ -52,6 +58,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -139,8 +146,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// SIGINT/SIGTERM request a graceful stop: the run loop finishes the
-	// current record, flushes the final epoch, and exits cleanly with the
+	// SIGINT/SIGTERM request a graceful stop: the run ends at the next
+	// batch boundary, flushes the final epoch, and exits cleanly with the
 	// checkpoint (if any) still pointing at the last closed boundary.
 	var stop atomic.Bool
 	sigs := make(chan os.Signal, 1)
@@ -169,7 +176,7 @@ func main() {
 		sinkFailEvery: *sinkFail,
 		stop:          &stop,
 	}
-	if err := run(cfg); err != nil {
+	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "maggd: %v\n", err)
 		os.Exit(1)
 	}
@@ -193,7 +200,7 @@ func readQueryFile(path string) ([]string, error) {
 	return out, sc.Err()
 }
 
-func run(cfg runConfig) error {
+func run(cfg runConfig, w io.Writer) error {
 	// Open the durable epoch store first: recovery (torn-tail truncation,
 	// manifest rebuild) happens here, and the history path needs nothing
 	// else.
@@ -206,26 +213,29 @@ func run(cfg runConfig) error {
 		}
 		defer store.Close()
 		if rec := store.Recovery(); rec.Dirty() {
-			fmt.Printf("store %s recovered: %d bytes of torn tail truncated, %d segments dropped, %d duplicate frames skipped, manifest rebuilt: %v\n",
+			fmt.Fprintf(w, "store %s recovered: %d bytes of torn tail truncated, %d segments dropped, %d duplicate frames skipped, manifest rebuilt: %v\n",
 				cfg.store, rec.TruncatedBytes, rec.DroppedSegments, rec.DuplicateFrames, rec.ManifestRebuilt)
 		}
-		fmt.Printf("store %s: %d persisted records across %d epochs\n",
+		fmt.Fprintf(w, "store %s: %d persisted records across %d epochs\n",
 			cfg.store, store.Len(), len(store.Epochs()))
 	}
 	if cfg.history != "" {
-		return printHistory(store, cfg.history, cfg.top)
+		return printHistory(w, store, cfg.history, cfg.top)
 	}
 
-	_, recs, err := stream.ReadTraceFile(cfg.trace)
+	src, err := stream.OpenTraceSource(cfg.trace)
 	if err != nil {
 		return err
 	}
-	if len(recs) == 0 {
+	defer src.Close()
+	if src.Remaining() == 0 {
 		return fmt.Errorf("trace %s is empty", cfg.trace)
 	}
-	sampleN := cfg.sample
-	if sampleN > len(recs) {
-		sampleN = len(recs)
+	// The planning sample is the trace's first records; the feed below
+	// replays it ahead of the rest of the trace.
+	sample, err := readPrefix(src, cfg.sample)
+	if err != nil {
+		return err
 	}
 
 	// The sample drives the initial group-count estimates.
@@ -246,7 +256,7 @@ func run(cfg runConfig) error {
 	// Windowed (or sketch-carrying) workloads report per-window answers
 	// composed from panes rather than raw per-epoch rows.
 	windowed := spec0.Windowed() || len(spec0.Sketches) > 0
-	groups, err := core.EstimateGroups(recs[:sampleN], rels)
+	groups, err := core.EstimateGroups(sample, rels)
 	if err != nil {
 		return err
 	}
@@ -284,9 +294,9 @@ func run(cfg runConfig) error {
 		if cfg.quiet || windowed {
 			return
 		}
-		fmt.Printf("-- query %v, epoch %d: %d groups\n", rel, epoch, len(rows))
+		fmt.Fprintf(w, "-- query %v, epoch %d: %d groups\n", rel, epoch, len(rows))
 		if deg.Dropped+deg.Late > 0 {
-			fmt.Printf("   (degraded: %d of %d records shed, %d late; shedding rate %.2f%%)\n",
+			fmt.Fprintf(w, "   (degraded: %d of %d records shed, %d late; shedding rate %.2f%%)\n",
 				deg.Dropped, deg.Offered, deg.Late, 100*deg.SheddingRate())
 		}
 		limit := len(rows)
@@ -294,10 +304,10 @@ func run(cfg runConfig) error {
 			limit = cfg.top
 		}
 		for _, r := range rows[:limit] {
-			fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
+			fmt.Fprintf(w, "   %v -> %v\n", r.Key, r.Aggs)
 		}
 		if limit < len(rows) {
-			fmt.Printf("   ... %d more\n", len(rows)-limit)
+			fmt.Fprintf(w, "   ... %d more\n", len(rows)-limit)
 		}
 	}
 	if windowed {
@@ -307,11 +317,11 @@ func run(cfg runConfig) error {
 			if cfg.quiet {
 				return
 			}
-			fmt.Printf("== window %d [epochs %d..%d], query %v: %d groups\n",
+			fmt.Fprintf(w, "== window %d [epochs %d..%d], query %v: %d groups\n",
 				led.Window, led.Start, led.End, rel, len(rows))
 			s := led.Stats
 			if s.Dropped+s.Late > 0 {
-				fmt.Printf("   (degraded: offered %d = processed %d + dropped %d + late %d)\n",
+				fmt.Fprintf(w, "   (degraded: offered %d = processed %d + dropped %d + late %d)\n",
 					s.Offered, s.Processed, s.Dropped, s.Late)
 			}
 			limit := len(rows)
@@ -320,13 +330,13 @@ func run(cfg runConfig) error {
 			}
 			for _, r := range rows[:limit] {
 				if len(r.Sketch) > 0 {
-					fmt.Printf("   %v -> %v  ~%s\n", r.Key, r.Aggs, fmtEstimates(r.Sketch))
+					fmt.Fprintf(w, "   %v -> %v  ~%s\n", r.Key, r.Aggs, fmtEstimates(r.Sketch))
 				} else {
-					fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
+					fmt.Fprintf(w, "   %v -> %v\n", r.Key, r.Aggs)
 				}
 			}
 			if limit < len(rows) {
-				fmt.Printf("   ... %d more\n", len(rows)-limit)
+				fmt.Fprintf(w, "   ... %d more\n", len(rows)-limit)
 			}
 		}
 	}
@@ -334,7 +344,7 @@ func run(cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("configuration: %s (modeled cost %.4f/record)\n\n", eng.Plan().Config, eng.Plan().Cost)
+	fmt.Fprintf(w, "configuration: %s (modeled cost %.4f/record)\n\n", eng.Plan().Config, eng.Plan().Cost)
 
 	// Resume from an existing checkpoint: skip the records of all closed
 	// epochs (post-reordering position) and re-process the open epoch.
@@ -345,7 +355,7 @@ func run(cfg runConfig) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("resumed from %s: %d records consumed, %d epochs closed\n",
+			fmt.Fprintf(w, "resumed from %s: %d records consumed, %d epochs closed\n",
 				cfg.checkpoint, skip, eng.Stats().Epochs)
 			if store != nil {
 				// Re-hydrate the persisted epochs so historical answers
@@ -353,98 +363,85 @@ func run(cfg runConfig) error {
 				if err := eng.ReplayStore(); err != nil {
 					return err
 				}
-				fmt.Printf("replayed %d persisted epochs from %s\n", len(store.Epochs()), cfg.store)
+				fmt.Fprintf(w, "replayed %d persisted epochs from %s\n", len(store.Epochs()), cfg.store)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
-	var src stream.Source = stream.NewSliceSource(recs)
+	// The one ingest loop: Engine.Run reads the feed in columnar batches
+	// whatever the flags. The reorder window and the resume skip wrap it
+	// as plain sources, transposed by ReadColumns; the stop check wraps
+	// everything, so a stop never drains the reorder window.
+	var in stream.Source = &traceFeed{head: stream.NewSliceSource(sample), rest: src}
 	var ordered *stream.OrderedSource
 	if cfg.slack > 0 {
-		ordered = stream.NewOrderedSource(src, cfg.slack)
-		src = ordered
+		ordered = stream.NewOrderedSource(in, cfg.slack)
+		in = ordered
 	}
 	if skip > 0 {
-		src = stream.NewSkipSource(src, skip)
+		in = stream.NewSkipSource(in, skip)
 	}
-
-	interrupted := false
-	for {
-		if cfg.stop != nil && cfg.stop.Load() {
-			interrupted = true
-			break
-		}
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := eng.Process(rec); err != nil {
-			return err
-		}
-	}
-	if err := src.Err(); err != nil {
-		return err
-	}
-	if err := eng.Finish(); err != nil {
+	feed := &stopSource{src: in, stop: cfg.stop}
+	if err := eng.Run(feed); err != nil {
 		return err
 	}
 
 	st := eng.Stats()
-	fmt.Printf("\nrecords:   %d\n", st.Ops.Records)
-	fmt.Printf("probes:    %d (c1 operations)\n", st.Ops.Probes)
-	fmt.Printf("transfers: %d (c2 operations)\n", st.Ops.Transfers)
-	fmt.Printf("actual cost/record: %.4f (c2/c1 = 50)\n", st.Ops.PerRecordCost(1, 50))
-	fmt.Printf("epochs: %d, adaptive re-plans: %d\n", st.Epochs, st.Replans)
+	fmt.Fprintf(w, "\nrecords:   %d\n", st.Ops.Records)
+	fmt.Fprintf(w, "probes:    %d (c1 operations)\n", st.Ops.Probes)
+	fmt.Fprintf(w, "transfers: %d (c2 operations)\n", st.Ops.Transfers)
+	fmt.Fprintf(w, "actual cost/record: %.4f (c2/c1 = 50)\n", st.Ops.PerRecordCost(1, 50))
+	fmt.Fprintf(w, "epochs: %d, adaptive re-plans: %d\n", st.Epochs, st.Replans)
 	if eng.Windowed() {
-		fmt.Printf("windows closed: %d\n", st.Windows)
+		fmt.Fprintf(w, "windows closed: %d\n", st.Windows)
 	}
 	d := st.Degradation
 	if d.Dropped+d.Late > 0 || cfg.budget > 0 {
-		fmt.Printf("degradation: offered %d = processed %d + dropped %d + late %d (shedding rate %.2f%%)\n",
+		fmt.Fprintf(w, "degradation: offered %d = processed %d + dropped %d + late %d (shedding rate %.2f%%)\n",
 			d.Offered, d.Processed, d.Dropped, d.Late, 100*d.SheddingRate())
 	}
 	if eng.NumShards() > 1 && cfg.budget > 0 {
 		for i, sd := range eng.ShardDegradations() {
-			fmt.Printf("  shard %d: offered %d = processed %d + dropped %d + late %d\n",
+			fmt.Fprintf(w, "  shard %d: offered %d = processed %d + dropped %d + late %d\n",
 				i, sd.Offered, sd.Processed, sd.Dropped, sd.Late)
 		}
 	}
 	if ordered != nil {
-		fmt.Printf("late records dropped by the reorder window: %d\n", ordered.Late())
+		fmt.Fprintf(w, "late records dropped by the reorder window: %d\n", ordered.Late())
 	}
 	if store != nil {
 		dur := eng.Durability()
-		fmt.Printf("durability: %d epochs persisted to %s", dur.Persisted, cfg.store)
+		fmt.Fprintf(w, "durability: %d epochs persisted to %s", dur.Persisted, cfg.store)
 		if len(dur.Unpersisted) > 0 {
-			fmt.Printf(", %d UNPERSISTED (epochs %v)", len(dur.Unpersisted), dur.Unpersisted)
+			fmt.Fprintf(w, ", %d UNPERSISTED (epochs %v)", len(dur.Unpersisted), dur.Unpersisted)
 		}
 		if dur.QueueFull > 0 {
-			fmt.Printf(", %d lost to a full persist queue", dur.QueueFull)
+			fmt.Fprintf(w, ", %d lost to a full persist queue", dur.QueueFull)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if dur.LastError != "" {
-			fmt.Printf("  last persistence error: %s\n", dur.LastError)
+			fmt.Fprintf(w, "  last persistence error: %s\n", dur.LastError)
 		}
 	}
 	if sinkFaults != nil {
-		fmt.Printf("sink faults: %d deliveries lost\n", sinkFaults.Failures())
+		fmt.Fprintf(w, "sink faults: %d deliveries lost\n", sinkFaults.Failures())
 		for _, rel := range rels {
 			count, mass := sinkFaults.Lost(rel)
 			if count == 0 {
 				continue
 			}
-			fmt.Printf("  query %v: %d evictions lost, mass %v\n", rel, count, mass)
+			fmt.Fprintf(w, "  query %v: %d evictions lost, mass %v\n", rel, count, mass)
 		}
 	}
-	if interrupted {
+	if feed.stopped {
 		// Only advertise the checkpoint if one was actually written: a
 		// signal arriving before the first epoch boundary leaves nothing
 		// on disk to resume from.
 		if _, statErr := os.Stat(cfg.checkpoint); cfg.checkpoint != "" && statErr == nil {
-			fmt.Printf("interrupted: final epoch flushed; resume from %s\n", cfg.checkpoint)
+			fmt.Fprintf(w, "interrupted: final epoch flushed; resume from %s\n", cfg.checkpoint)
 		} else {
-			fmt.Println("interrupted: final epoch flushed")
+			fmt.Fprintln(w, "interrupted: final epoch flushed")
 		}
 	}
 	return nil
@@ -453,7 +450,7 @@ func run(cfg runConfig) error {
 // printHistory answers historical-epoch queries straight from the durable
 // store: the persisted rows are exactly what the engine emitted when the
 // epoch closed (HAVING applied), so no replay is needed.
-func printHistory(store *epochstore.Store, sel string, top int) error {
+func printHistory(w io.Writer, store *epochstore.Store, sel string, top int) error {
 	var epochs []uint32
 	if sel == "all" {
 		epochs = store.Epochs()
@@ -465,7 +462,7 @@ func printHistory(store *epochstore.Store, sel string, top int) error {
 		epochs = []uint32{n}
 	}
 	if len(epochs) == 0 {
-		fmt.Println("store holds no epochs")
+		fmt.Fprintln(w, "store holds no epochs")
 		return nil
 	}
 	for _, epoch := range epochs {
@@ -478,25 +475,111 @@ func printHistory(store *epochstore.Store, sel string, top int) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("-- query %v, epoch %d: %d groups", rel, epoch, len(rec.Rows))
+			fmt.Fprintf(w, "-- query %v, epoch %d: %d groups", rel, epoch, len(rec.Rows))
 			if rec.Dropped+rec.Late > 0 {
-				fmt.Printf(" (degraded: %d of %d records shed, %d late)", rec.Dropped, rec.Offered, rec.Late)
+				fmt.Fprintf(w, " (degraded: %d of %d records shed, %d late)", rec.Dropped, rec.Offered, rec.Late)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			limit := len(rec.Rows)
 			if top > 0 && top < limit {
 				limit = top
 			}
 			for _, r := range rec.Rows[:limit] {
-				fmt.Printf("   %v -> %v\n", r.Key, r.Aggs)
+				fmt.Fprintf(w, "   %v -> %v\n", r.Key, r.Aggs)
 			}
 			if limit < len(rec.Rows) {
-				fmt.Printf("   ... %d more\n", len(rec.Rows)-limit)
+				fmt.Fprintf(w, "   ... %d more\n", len(rec.Rows)-limit)
 			}
 		}
 	}
 	return nil
 }
+
+// readPrefix reads the planning sample — up to n records off the front of
+// the trace — one columnar block at a time.
+func readPrefix(src *stream.TraceSource, n int) ([]stream.Record, error) {
+	recs := make([]stream.Record, min(uint64(max(n, 0)), src.Remaining()))
+	k := 0
+	for k < len(recs) {
+		got := src.NextBatch(recs[k:min(k+stream.ColumnBatchLen, len(recs))])
+		if got == 0 {
+			break
+		}
+		k += got
+	}
+	return recs[:k], src.Err()
+}
+
+// traceFeed is the trace maggd runs: the planning sample replayed ahead
+// of the rest of the trace, so the trace is read once, front to back, and
+// never held whole.
+type traceFeed struct {
+	head *stream.SliceSource // the planning sample; nil once replayed
+	rest *stream.TraceSource
+}
+
+// Next implements stream.Source.
+func (f *traceFeed) Next() (stream.Record, bool) {
+	if f.head != nil {
+		if rec, ok := f.head.Next(); ok {
+			return rec, true
+		}
+		f.head = nil
+	}
+	return f.rest.Next()
+}
+
+// NextColumns implements stream.ColumnSource.
+func (f *traceFeed) NextColumns(dst *stream.ColumnBatch, limit int) int {
+	if f.head != nil {
+		if n := f.head.NextColumns(dst, limit); n > 0 {
+			return n
+		}
+		f.head = nil
+	}
+	return f.rest.NextColumns(dst, limit)
+}
+
+// Err implements stream.Source.
+func (f *traceFeed) Err() error { return f.rest.Err() }
+
+// stopSource ends the stream once a stop is requested. It is the
+// outermost source, so the stop lands between two of the engine's batch
+// reads, as if the trace had been cut there: the records still held by
+// the reorder window are never released, and the engine then flushes the
+// final epoch as it does at the end of the trace.
+type stopSource struct {
+	src     stream.Source
+	stop    *atomic.Bool
+	stopped bool
+}
+
+func (s *stopSource) halted() bool {
+	if s.stop != nil && s.stop.Load() {
+		s.stopped = true
+	}
+	return s.stopped
+}
+
+// Next implements stream.Source.
+func (s *stopSource) Next() (stream.Record, bool) {
+	if s.halted() {
+		return stream.Record{}, false
+	}
+	return s.src.Next()
+}
+
+// NextColumns implements stream.ColumnSource.
+func (s *stopSource) NextColumns(dst *stream.ColumnBatch, limit int) int {
+	if s.halted() {
+		dst.Reset(0)
+		return 0
+	}
+	return stream.ReadColumns(s.src, dst, limit)
+}
+
+// Err implements stream.Source.
+func (s *stopSource) Err() error { return s.src.Err() }
 
 // fmtEstimates renders a row's sketch estimates (count_distinct and
 // quantile values) compactly.

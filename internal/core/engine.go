@@ -1386,32 +1386,14 @@ func (e *Engine) ProcessColumnBatch(b *stream.ColumnBatch) error {
 	return nil
 }
 
-// Run processes an entire source and finishes. Sources that can decode
-// into columns (stream.ColumnSource) run through the vectorized batch
-// path when no per-record admission is required; the rest take the
-// scalar loop.
+// Run processes an entire source and finishes. Every source takes the
+// columnar batch path: ReadColumns decodes a ColumnSource block by block
+// and transposes any other source, and ProcessColumnBatch admits row by
+// row where overload control needs per-record admission.
 func (e *Engine) Run(src stream.Source) error {
-	if cs, ok := src.(stream.ColumnSource); ok && e.opts.Budget == 0 && !e.interp {
-		var cb stream.ColumnBatch
-		for {
-			if stream.ReadColumns(cs, &cb, stream.ColumnBatchLen) == 0 {
-				break
-			}
-			if err := e.ProcessColumnBatch(&cb); err != nil {
-				return err
-			}
-		}
-		if err := src.Err(); err != nil {
-			return err
-		}
-		return e.Finish()
-	}
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := e.Process(rec); err != nil {
+	var cb stream.ColumnBatch
+	for stream.ReadColumns(src, &cb, stream.ColumnBatchLen) > 0 {
+		if err := e.ProcessColumnBatch(&cb); err != nil {
 			return err
 		}
 	}
@@ -1428,8 +1410,9 @@ func (e *Engine) Results(rel attr.Set, epoch uint32) ([]hfta.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: %v is not a registered query", rel)
 	}
+	// Rows returns a fresh slice, so HAVING filters it in place.
 	rows := e.agg.Rows(rel, epoch)
-	out := rows[:0:0]
+	out := rows[:0]
 	for _, r := range rows {
 		if spec.MatchHaving(r.Aggs) {
 			out = append(out, r)

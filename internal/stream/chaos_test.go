@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -213,5 +214,57 @@ func TestSkipSource(t *testing.T) {
 	empty := NewSkipSource(NewSliceSource(seqRecords(3, 1)), 10)
 	if out, err := Collect(empty); err != nil || len(out) != 0 {
 		t.Errorf("skip past end: %d records, err %v", len(out), err)
+	}
+
+	// Through Next and through ReadColumns, over a block-decoding trace,
+	// a transposing slice, and a Next-only source, every skip count —
+	// none, a partial block, an exact block, the whole stream, past the
+	// end — yields exactly the records after the skipped prefix.
+	const n = 2500
+	recs := seqRecords(n, 10)
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, MustSchema(1), recs); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() Source{
+		"trace": func() Source {
+			ts, err := NewTraceSource(bytes.NewReader(trace.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ts
+		},
+		"slice":     func() Source { return NewSliceSource(recs) },
+		"next-only": func() Source { return struct{ Source }{NewSliceSource(recs)} },
+	}
+	for name, mk := range sources {
+		for _, skip := range []uint64{0, 300, ColumnBatchLen, n, n + 1500} {
+			want := recs[min(skip, n):]
+			viaNext, err := Collect(NewSkipSource(mk(), skip))
+			if err != nil {
+				t.Fatalf("%s skip %d: %v", name, skip, err)
+			}
+			var viaCols []Record
+			var cb ColumnBatch
+			src := NewSkipSource(mk(), skip)
+			for ReadColumns(src, &cb, 700) > 0 {
+				for i := range cb.Time {
+					viaCols = append(viaCols, Record{Attrs: cb.Row(i, nil), Time: cb.Time[i]})
+				}
+			}
+			if err := src.Err(); err != nil {
+				t.Fatalf("%s skip %d: %v", name, skip, err)
+			}
+			for path, got := range map[string][]Record{"Next": viaNext, "ReadColumns": viaCols} {
+				if len(got) != len(want) {
+					t.Fatalf("%s skip %d via %s: %d records; want %d", name, skip, path, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Time != want[i].Time || got[i].Attrs[0] != want[i].Attrs[0] {
+						t.Fatalf("%s skip %d via %s: record %d = %+v; want %+v", name, skip, path, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

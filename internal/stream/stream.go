@@ -268,11 +268,12 @@ func (c *Clock) Started() bool { return c.started }
 
 // SkipSource discards the first n records of a source before yielding the
 // rest — the resume path for replaying a trace from a checkpoint's stream
-// position. The skipped prefix is consumed lazily on the first Next call.
+// position. The skipped prefix is consumed lazily on the first read; over
+// a ColumnSource it is discarded block by block, so resuming keeps the
+// columnar decode.
 type SkipSource struct {
-	src     Source
-	n       uint64
-	skipped bool
+	src Source
+	n   uint64
 }
 
 // NewSkipSource wraps src, discarding its first n records.
@@ -280,17 +281,41 @@ func NewSkipSource(src Source, n uint64) *SkipSource {
 	return &SkipSource{src: src, n: n}
 }
 
+// skip discards the pending prefix, decoding it into dst when the source
+// is columnar. It reports false if the source ran dry first.
+func (s *SkipSource) skip(dst *ColumnBatch) bool {
+	cs, columnar := s.src.(ColumnSource)
+	for s.n > 0 {
+		k := 1
+		if columnar {
+			k = cs.NextColumns(dst, int(min(s.n, ColumnBatchLen)))
+		} else if _, ok := s.src.Next(); !ok {
+			k = 0
+		}
+		if k == 0 {
+			return false
+		}
+		s.n -= uint64(k)
+	}
+	return true
+}
+
 // Next implements Source.
 func (s *SkipSource) Next() (Record, bool) {
-	if !s.skipped {
-		s.skipped = true
-		for i := uint64(0); i < s.n; i++ {
-			if _, ok := s.src.Next(); !ok {
-				return Record{}, false
-			}
-		}
+	if s.n > 0 && !s.skip(&ColumnBatch{}) {
+		return Record{}, false
 	}
 	return s.src.Next()
+}
+
+// NextColumns implements ColumnSource, transposing through ReadColumns
+// when the wrapped source is not columnar.
+func (s *SkipSource) NextColumns(dst *ColumnBatch, limit int) int {
+	if s.n > 0 && !s.skip(dst) {
+		dst.Reset(0)
+		return 0
+	}
+	return ReadColumns(s.src, dst, limit)
 }
 
 // Err implements Source.

@@ -22,6 +22,9 @@ import (
 const (
 	traceMagic   = "MAGT"
 	traceVersion = 1
+	// traceHeaderLen is the header's size: magic, version, attribute
+	// count and record count.
+	traceHeaderLen = len(traceMagic) + 1 + 1 + 8
 )
 
 var (

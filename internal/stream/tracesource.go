@@ -61,18 +61,37 @@ func NewTraceSource(r io.Reader) (*TraceSource, error) {
 
 // OpenTraceSource opens a trace file for incremental reading; Close must
 // be called when done (exhausting the source also releases the file).
+// A regular file too short for the record count in its header is refused
+// here, before any of its records are read, as ReadTraceFile refuses it.
 func OpenTraceSource(path string) (*TraceSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	src, err := NewTraceSource(f)
+	if err == nil {
+		err = src.checkLength(f)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	src.closer = f
 	return src, nil
+}
+
+// checkLength compares the header's record count with the size of the
+// file behind a freshly opened source.
+func (t *TraceSource) checkLength(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || !fi.Mode().IsRegular() {
+		return err
+	}
+	have := uint64(fi.Size()-int64(traceHeaderLen)) / uint64(len(t.buf))
+	if have < t.left {
+		return fmt.Errorf("%w: truncated: header promises %d records, file holds %d", ErrBadTrace, t.left, have)
+	}
+	return nil
 }
 
 // Schema returns the trace's schema.
@@ -88,7 +107,9 @@ func (t *TraceSource) Next() (Record, bool) {
 		t.release()
 		return Record{}, false
 	}
-	if _, err := io.ReadFull(t.r, t.buf); err != nil {
+	// A block read (NextColumns) may have grown buf past one record.
+	buf := t.buf[:4*(t.schema.NumAttrs+1)]
+	if _, err := io.ReadFull(t.r, buf); err != nil {
 		t.err = fmt.Errorf("%w: truncated with %d records left: %v", ErrBadTrace, t.left, err)
 		t.release()
 		return Record{}, false
@@ -97,10 +118,10 @@ func (t *TraceSource) Next() (Record, bool) {
 	attrs := make([]uint32, t.schema.NumAttrs)
 	off := 0
 	for i := range attrs {
-		attrs[i] = binary.LittleEndian.Uint32(t.buf[off:])
+		attrs[i] = binary.LittleEndian.Uint32(buf[off:])
 		off += 4
 	}
-	rec := Record{Attrs: attrs, Time: binary.LittleEndian.Uint32(t.buf[off:])}
+	rec := Record{Attrs: attrs, Time: binary.LittleEndian.Uint32(buf[off:])}
 	if t.left == 0 {
 		t.release()
 	}

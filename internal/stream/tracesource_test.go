@@ -2,8 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,5 +134,84 @@ func TestOpenTraceSource(t *testing.T) {
 	}
 	if _, err := OpenTraceSource(bad); err == nil {
 		t.Error("non-trace file accepted")
+	}
+	// A file cut short of its header's record count is refused at open,
+	// before any record is handed out.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.magt")
+	if err := os.WriteFile(cut, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenTraceSource(cut); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("truncated file: OpenTraceSource err = %v; want ErrBadTrace", err)
+	}
+}
+
+// TestTraceSourceMixedReads interleaves block reads (NextColumns,
+// NextBatch) with single-record Next calls on one source: a Next after a
+// block read must consume exactly one record, so the concatenation equals
+// the trace record for record.
+func TestTraceSourceMixedReads(t *testing.T) {
+	schema := MustSchema(3)
+	const n = 5000
+	recs := make([]Record, n)
+	for i := range recs {
+		u := uint32(i)
+		recs[i] = mkRec(u/10, u, u*7+1, u^0x5a5a)
+	}
+	path := filepath.Join(t.TempDir(), "t.magt")
+	if err := WriteTraceFile(path, schema, recs); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenTraceSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+
+	var got []Record
+	var cb ColumnBatch
+	batch := make([]Record, 500)
+	for step := 0; ; step++ {
+		k := 0
+		switch step % 4 {
+		case 0:
+			k = src.NextColumns(&cb, ColumnBatchLen)
+			for i := 0; i < k; i++ {
+				got = append(got, Record{Attrs: cb.Row(i, nil), Time: cb.Time[i]})
+			}
+		case 1, 3:
+			for ; k < 3; k++ {
+				r, ok := src.Next()
+				if !ok {
+					break
+				}
+				got = append(got, r)
+			}
+		case 2:
+			k = src.NextBatch(batch[:1+step%len(batch)])
+			got = append(got, batch[:k]...)
+		}
+		if k == 0 {
+			break
+		}
+	}
+	if err := src.Err(); err != nil {
+		t.Fatalf("mixed reads: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d records; want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Time != want[i].Time || !slices.Equal(got[i].Attrs, want[i].Attrs) {
+			t.Fatalf("record %d = %+v; want %+v", i, got[i], want[i])
+		}
 	}
 }
