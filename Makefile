@@ -29,7 +29,7 @@ race:
 # -fuzzminimizetime 50x ./internal/core` (or FuzzSegmentDecode in
 # ./internal/epochstore) for a live session.
 fuzz-short:
-	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore
+	$(GO) test -run 'Fuzz' ./internal/core ./internal/stream ./internal/feedgraph ./internal/query ./internal/epochstore ./internal/sketch
 
 # The durability crash-point property suites: the epoch store killed at
 # ~100 byte offsets per seed (including during recovery), the engine on

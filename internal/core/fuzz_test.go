@@ -16,6 +16,7 @@ import (
 	"repro/internal/epochstore"
 	"repro/internal/feedgraph"
 	"repro/internal/gen"
+	"repro/internal/sketch"
 	"repro/internal/stream"
 )
 
@@ -423,6 +424,21 @@ func TestRestoreRejectsCorruptV4(t *testing.T) {
 	})
 	t.Run("corrupt sketch blob", func(t *testing.T) {
 		mustReject(t, flip(blobOff, 0xff))
+	})
+	t.Run("hll register above max rank", func(t *testing.T) {
+		// Blob layout: agg count, then per agg a kind byte and the
+		// sketch; an HLL is its precision byte and 2^p registers. A
+		// register above 65−p cannot come from Add, and one of 64 or
+		// more would make the restored counter's estimate 0.
+		if img[blobOff+1] != byte(sketch.Distinct) {
+			t.Fatalf("first sketch of the blob has kind %d, want count_distinct", img[blobOff+1])
+		}
+		prec := img[blobOff+2]
+		for _, rank := range []byte{65 - prec + 1, 64, 0xff} {
+			b := append([]byte(nil), img...)
+			b[blobOff+3] = rank
+			mustReject(t, b)
+		}
 	})
 	t.Run("stale pane epoch", func(t *testing.T) {
 		// An epoch older than the live window range must be rejected, not

@@ -127,6 +127,16 @@ func TestHLLBinaryRoundTrip(t *testing.T) {
 	if _, _, err := DecodeHLL(bad); err == nil {
 		t.Fatal("precision 99 accepted")
 	}
+	// The largest rank Add produces is 65−p. Anything above it is
+	// corrupt, and 64 or more would make the estimate's sum infinite.
+	top := 65 - blob[0]
+	for _, r := range []byte{top, top + 1, 64, 0xff} {
+		reg := append([]byte(nil), blob...)
+		reg[len(reg)-1] = r
+		if _, _, err := DecodeHLL(reg); (err == nil) != (r == top) {
+			t.Fatalf("register %d: err %v", r, err)
+		}
+	}
 }
 
 func digestBytes(d *TDigest) []byte { return d.Clone().AppendBinary(nil) }
@@ -228,6 +238,21 @@ func TestTDigestMergeLaws(t *testing.T) {
 		af.flush()
 		if !bytes.Equal(digestBytes(ae), digestBytes(af)) {
 			t.Fatalf("trial %d: empty digest is not a merge identity", trial)
+		}
+		// ... from either side, including a reset digest, and without
+		// touching the source's unflushed buffer.
+		before := a.AppendBinary(nil)
+		ea := MustNewTDigest(DefaultCompression)
+		ea.Add(1)
+		ea.Reset()
+		if err := ea.Merge(a); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(digestBytes(ea), digestBytes(af)) {
+			t.Fatalf("trial %d: merge into an empty digest is not flush(other)", trial)
+		}
+		if !bytes.Equal(a.AppendBinary(nil), before) {
+			t.Fatalf("trial %d: Merge modified its source", trial)
 		}
 	}
 }

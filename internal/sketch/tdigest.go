@@ -160,6 +160,17 @@ func (d *TDigest) Merge(other *TDigest) error {
 		return fmt.Errorf("sketch: t-digest compression mismatch")
 	}
 	d.flush()
+	if d.total == 0 {
+		// Into an empty digest: copy other and flush the copy. That is
+		// exactly flush(other) — no rebuild of an already-built centroid
+		// set, no clone — so the empty digest is an exact identity.
+		d.mean = append(d.mean[:0], other.mean...)
+		d.cnt = append(d.cnt[:0], other.cnt...)
+		d.buf = append(d.buf[:0], other.buf...)
+		d.total, d.min, d.max, d.n = other.total, other.min, other.max, other.n
+		d.flush()
+		return nil
+	}
 	o := other
 	if len(o.buf) != 0 {
 		o = other.Clone()
