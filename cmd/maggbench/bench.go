@@ -106,6 +106,7 @@ func benchSuite() []namedBench {
 		{name: "engine-filtered-interp-p1", recordsPerOp: 1, fn: benchEngineFilteredInterp(10)},
 		{name: "hfta-merge", recordsPerOp: 0, fn: benchHFTAMerge},
 		{name: "hfta-merge-run", recordsPerOp: mergeRunEntries, fn: benchHFTAMergeRun},
+		{name: "hfta-rows", recordsPerOp: 0, fn: benchHFTARows},
 		{name: "columnar-route", recordsPerOp: 1, fn: benchColumnarRoute},
 		{name: "window-compose", recordsPerOp: 0, fn: benchWindowCompose},
 		{name: "sketch-merge", recordsPerOp: 0, fn: benchSketchMerge},
@@ -546,6 +547,37 @@ func benchHFTAMergeRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		agg.MergeRun(rel, uint32(i%4), keys, deltas)
+	}
+}
+
+// rowsBenchGroups is the group count of the read-out benchmark's epoch.
+const rowsBenchGroups = 4096
+
+// benchHFTARows measures one epoch read-out (Aggregator.Rows): a
+// 4,096-group, arity-2 epoch with two aggregates, copied into flat
+// arenas and sorted by group key — the work every closed epoch pays once
+// per query. A diagnostic of that stage, not an end-to-end claim.
+func benchHFTARows(b *testing.B) {
+	rel := attr.MustParseSet("AB")
+	aggs := []lfta.AggSpec{{Op: hashtab.Sum, Input: -1}, {Op: hashtab.Sum, Input: 2}}
+	agg, err := hfta.New([]attr.Set{rel}, aggs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < rowsBenchGroups; g++ {
+		agg.Consume(lfta.Eviction{
+			Rel:  rel,
+			Key:  []uint32{rng.Uint32(), uint32(g)},
+			Aggs: []int64{1, int64(rng.Intn(1500))},
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(agg.Rows(rel, 0)) != rowsBenchGroups {
+			b.Fatal("read-out lost groups")
+		}
 	}
 }
 

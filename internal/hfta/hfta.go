@@ -14,7 +14,7 @@ package hfta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/attr"
@@ -80,28 +80,6 @@ func (gm *groupMap) len() int {
 		return len(gm.wide)
 	default:
 		return len(gm.jumbo)
-	}
-}
-
-// each calls fn with every (decoded key, accumulator) pair. The key slice
-// is only valid during the call.
-func (gm *groupMap) each(arity int, fn func(key []uint32, acc []int64)) {
-	var buf [attr.MaxAttrs]uint32
-	switch {
-	case gm.small != nil:
-		for k, acc := range gm.small {
-			fn(unpackSmall(k, arity, buf[:0]), acc)
-		}
-	case gm.wide != nil:
-		for k, acc := range gm.wide {
-			k := k
-			fn(k[:arity], acc)
-		}
-	default:
-		for k, acc := range gm.jumbo {
-			k := k
-			fn(k[:arity], acc)
-		}
 	}
 }
 
@@ -290,28 +268,97 @@ func (a *Aggregator) ConsumeBatch(evs []lfta.Eviction) {
 // Rows finalizes and returns the answers for one query and epoch, sorted
 // by group key (numeric, per attribute). The state for that (query,
 // epoch) remains available until Drop is called.
+//
+// The read-out costs a constant number of allocations, not one per group:
+// the rows' keys and aggregates are copied into two flat arenas, and the
+// sort runs over a pointer-free array. For arity ≤ 2 that array is the
+// packed uint64 keys (packSmall's order is lessKeys'): once sorted, each
+// key's accumulator is looked up and copied into the arenas in row
+// order. Wider keys are copied in map order and an index permutation is
+// sorted in lessKeys order. Each Row's Key and Aggs slice the arenas with
+// a full slice expression (cap == len), so an append to one row
+// reallocates instead of overwriting its neighbour, and no two calls
+// share storage.
 func (a *Aggregator) Rows(rel attr.Set, epoch uint32) []Row {
 	rs := a.state[rel]
 	if rs == nil {
 		return nil
 	}
-	var out []Row
+	// Hold every lock shard for the whole read-out, so the groups counted
+	// to size the arenas are the groups copied. Merges hold one shard at
+	// a time and every read-out locks in index order, so this cannot
+	// deadlock.
 	for i := range rs.shards {
-		sh := &rs.shards[i]
-		sh.mu.Lock()
-		if gm := sh.epochs[epoch]; gm != nil {
-			gm.each(rs.arity, func(key []uint32, acc []int64) {
-				out = append(out, Row{
-					Rel:   rel,
-					Epoch: epoch,
-					Key:   append([]uint32(nil), key...),
-					Aggs:  append([]int64(nil), acc...),
-				})
-			})
-		}
-		sh.mu.Unlock()
+		rs.shards[i].mu.Lock()
 	}
-	sort.Slice(out, func(i, j int) bool { return lessKeys(out[i].Key, out[j].Key) })
+	defer func() {
+		for i := range rs.shards {
+			rs.shards[i].mu.Unlock()
+		}
+	}()
+	var gms [keyShards]*groupMap
+	n := 0
+	for i := range rs.shards {
+		if gms[i] = rs.shards[i].epochs[epoch]; gms[i] != nil {
+			n += gms[i].len()
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	ar, na := rs.arity, len(a.aggs)
+	keys := make([]uint32, n*ar)
+	aggs := make([]int64, n*na)
+	out := make([]Row, n)
+	row := func(j, i int) {
+		k, g := i*ar, i*na
+		out[j] = Row{Rel: rel, Epoch: epoch, Key: keys[k : k+ar : k+ar], Aggs: aggs[g : g+na : g+na]}
+	}
+	if ar <= smallArity {
+		packed := make([]uint64, 0, n)
+		for _, gm := range gms {
+			if gm != nil {
+				for k := range gm.small {
+					packed = append(packed, k)
+				}
+			}
+		}
+		slices.Sort(packed)
+		for j, k := range packed {
+			unpackSmall(k, ar, keys[j*ar:j*ar])
+			copy(aggs[j*na:], gms[mix64(k)&(keyShards-1)].small[k]) // k's shard, as merge picks it
+			row(j, j)
+		}
+		return out
+	}
+	i := 0
+	for _, gm := range gms {
+		switch {
+		case gm == nil:
+		case gm.wide != nil:
+			for k, acc := range gm.wide {
+				copy(keys[i*ar:], k[:ar])
+				copy(aggs[i*na:], acc)
+				i++
+			}
+		default:
+			for k, acc := range gm.jumbo {
+				copy(keys[i*ar:], k[:ar])
+				copy(aggs[i*na:], acc)
+				i++
+			}
+		}
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(x, y int32) int {
+		return slices.Compare(keys[int(x)*ar:int(x)*ar+ar], keys[int(y)*ar:int(y)*ar+ar])
+	})
+	for j, i := range perm {
+		row(j, int(i))
+	}
 	return out
 }
 
@@ -351,7 +398,7 @@ func (a *Aggregator) Epochs(rel attr.Set) []uint32 {
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,10 @@
 package hfta
 
-import "repro/internal/attr"
+import (
+	"slices"
+
+	"repro/internal/attr"
+)
 
 // Integer-keyed group storage. The old implementation encoded every group
 // key into a heap-allocated string (4 bytes per attribute, little-endian)
@@ -83,16 +87,6 @@ func hashWords(vals []uint32) uint64 {
 }
 
 // lessKeys orders decoded group keys lexicographically per attribute — the
-// canonical row order of Rows and AllRows.
-func lessKeys(a, b []uint32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+// canonical row order of Rows and AllRows. slices.Compare is the same
+// order as a three-way comparison.
+func lessKeys(a, b []uint32) bool { return slices.Compare(a, b) < 0 }

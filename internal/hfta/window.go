@@ -3,6 +3,7 @@ package hfta
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/attr"
@@ -86,7 +87,7 @@ type WindowResult struct {
 // PaneInput is one relation's slice of a closing pane.
 type PaneInput struct {
 	Rel      attr.Set
-	Rows     []Row                      // per-group exact aggregates (ownership passes to the composer)
+	Rows     []Row                      // per-group exact aggregates (the composer keeps and combines into each Aggs; it reads Key only during the call)
 	Sketches map[string]*sketch.Partial // packed group key → live partial (the partials pass to the composer; the map does not)
 	// Recycle lets the composer Reset the partials once their pane is
 	// evicted and hand them out again through TakePartial. Without it
@@ -655,7 +656,7 @@ func (c *Composer) SnapshotPanes() []PaneSnapshot {
 	for e := range c.panes {
 		epochs = append(epochs, e)
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+	slices.Sort(epochs)
 	out := make([]PaneSnapshot, 0, len(epochs))
 	for _, e := range epochs {
 		p := c.panes[e]
