@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -439,4 +440,51 @@ func TestSketchOnlyTumbling(t *testing.T) {
 		}
 	}
 	_ = sketch.DefaultPrecision // anchor the import: precision defaults flow through NewComposer
+}
+
+// TestPaneSketchIndex checks the open pane's partial index against a
+// packed-string map at arities 1, 2 and 5: a group keeps one partial
+// through the index's growth, the hand-over holds exactly the pane's
+// groups under their packed keys, and the index starts the next pane
+// empty.
+func TestPaneSketchIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, arity := range []int{1, 2, 5} {
+		comp, err := hfta.NewComposer(hfta.WindowSpec{Size: 1, Slide: 1}, []attr.Set{attr.MustParseSet("A")}, nil,
+			[]sketch.Agg{{Kind: sketch.Distinct, Input: 0}}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := paneSketches{arity: arity, out: make(map[string]*sketch.Partial)}
+		var buf []byte
+		for pane := 0; pane < 3; pane++ {
+			want := make(map[string]*sketch.Partial)
+			for i := 0; i < 2000; i++ {
+				key := make([]uint32, arity)
+				for j := range key {
+					key[j] = uint32(rng.Intn(12))
+				}
+				p := ps.partial(key, comp)
+				k := hfta.PackKey(key)
+				if prev, ok := want[k]; ok && prev != p {
+					t.Fatalf("arity %d pane %d: key %v changed partial", arity, pane, key)
+				}
+				for other, q := range want {
+					if q == p && other != k {
+						t.Fatalf("arity %d pane %d: key %v shares a partial", arity, pane, key)
+					}
+				}
+				want[k] = p
+			}
+			var got map[string]*sketch.Partial
+			got, buf = ps.handOver(buf)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("arity %d pane %d: hand-over holds %d groups, want %d", arity, pane, len(got), len(want))
+			}
+			if len(ps.parts) != 0 || len(ps.keys) != 0 {
+				t.Fatalf("arity %d pane %d: index not emptied", arity, pane)
+			}
+			clear(ps.out)
+		}
+	}
 }

@@ -246,6 +246,25 @@ func (c *Clock) Observe(t uint32) (epoch uint32, rolled, late bool) {
 	return e, false, false
 }
 
+// Holds reports whether every timestamp in ts falls in the current epoch,
+// so that Observe would return (current, false, false) for each and leave
+// the clock as it is. It is false before the first Observe.
+func (c *Clock) Holds(ts []uint32) bool {
+	if !c.started {
+		return false
+	}
+	if c.Length == 0 {
+		return true
+	}
+	lo := c.cur * c.Length // ≤ the timestamp that opened the epoch: no overflow
+	in := true
+	for _, t := range ts {
+		// t < lo wraps to a difference ≥ Length.
+		in = in && t-lo < c.Length
+	}
+	return in
+}
+
 // Regressions returns the number of timestamps observed in epochs earlier
 // than the then-current one.
 func (c *Clock) Regressions() uint64 { return c.regressed }

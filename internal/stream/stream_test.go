@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,38 @@ func TestClock(t *testing.T) {
 	}
 	if c.Current() != 3 {
 		t.Fatalf("Current = %d", c.Current())
+	}
+}
+
+// TestClockHolds checks Holds against Observe: a batch holds exactly when
+// Observe, run over it on a copy of the clock, neither rolls nor reports
+// a late record.
+func TestClockHolds(t *testing.T) {
+	if NewClock(10).Holds([]uint32{0}) {
+		t.Error("a fresh clock holds a batch")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, length := range []uint32{0, 1, 10, 1 << 20} {
+		for i := 0; i < 2000; i++ {
+			c := NewClock(length)
+			start := uint32(rng.Int63n(1 << 32))
+			c.Observe(start)
+			ts := make([]uint32, 1+rng.Intn(4))
+			for j := range ts {
+				// Near the current epoch's edges, wrapping at 2^32.
+				ts[j] = start + uint32(rng.Intn(2*int(length)+3)) - length - 1
+			}
+			want := true
+			cp := *c
+			for _, ts := range ts {
+				if e, rolled, late := cp.Observe(ts); rolled || late || e != c.Current() {
+					want = false
+				}
+			}
+			if got := c.Holds(ts); got != want {
+				t.Fatalf("length %d, clock at %d: Holds(%v) = %v, Observe says %v", length, start, ts, got, want)
+			}
+		}
 	}
 }
 
